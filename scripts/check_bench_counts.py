@@ -35,8 +35,10 @@ from pathlib import Path
 # injected arrival event in the destination domain.
 EXPECTED_EVENTS = {
     "perf": 51321,
+    "churn": 4497,
     "loaded": 169902,
     "incident": 582358,
+    "frontend": 52843,
     "tenant": 269289,
     "scale": 585544,
 }

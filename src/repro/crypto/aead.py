@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac as _hmac
+import weakref
 from typing import Protocol
 
 from repro.crypto.gcm import AesGcm
@@ -222,11 +223,11 @@ def new_aead(kind: str, key: bytes) -> Aead:
     return cls(key)
 
 
-_SHARED_AEADS: dict[tuple[str, bytes], Aead] = {}
+_SHARED_AEADS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def shared_aead(kind: str, key: bytes) -> Aead:
-    """A process-wide cached AEAD instance for ``(kind, key)``.
+    """A process-wide AEAD instance for ``(kind, key)``, shared while in use.
 
     Every AEAD here is stateless -- nonces and record sequence numbers live
     in :class:`repro.tls.record.RecordProtection` -- so one instance per
@@ -234,13 +235,12 @@ def shared_aead(kind: str, key: bytes) -> Aead:
     matters most for :class:`AesGcm`, whose per-key GHASH tables (16x256
     128-bit entries) are otherwise rebuilt for every connection and rekey.
 
-    The cache is never evicted; simulations key a handful of sessions, not
-    an unbounded population.
+    The cache holds its instances weakly: an entry lives exactly as long as
+    some session holds the instance (both ends of a loopback session do),
+    so a population of short-lived session keys does not accumulate.
     """
     cache_key = (kind, bytes(key))
     aead = _SHARED_AEADS.get(cache_key)
     if aead is None:
-        if len(_SHARED_AEADS) >= 4096:  # safeguard for very long-lived processes
-            _SHARED_AEADS.clear()
         aead = _SHARED_AEADS[cache_key] = new_aead(kind, cache_key[1])
     return aead

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from repro.crypto.ec import ECPoint, N, P256
-from repro.errors import AuthenticationError, CryptoError
+from repro.errors import AuthenticationError
 
 SIGNATURE_SIZE = 64
 
@@ -73,14 +73,12 @@ def ecdsa_verify(public: ECPoint, message: bytes, signature: bytes) -> None:
     s = int.from_bytes(signature[32:], "big")
     if not (1 <= r < N and 1 <= s < N):
         raise AuthenticationError("ECDSA signature out of range")
-    if public.is_infinity or not P256.is_on_curve(public):
-        raise CryptoError("invalid ECDSA public key")
     digest = hashlib.sha256(message).digest()
     z = _bits2int(digest) % N
     s_inv = pow(s, N - 2, N)
     u1 = (z * s_inv) % N
     u2 = (r * s_inv) % N
-    point = P256.add(P256.scalar_mult(u1), P256.scalar_mult(u2, public))
+    point = P256.mul_add(u1, u2, public)  # validates the public point
     if point.is_infinity or point.x % N != r:
         raise AuthenticationError("ECDSA verification failed")
 

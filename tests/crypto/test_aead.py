@@ -1,12 +1,15 @@
 """AEAD interface and the FastAead simulation cipher."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aead import FastAead, new_aead, shared_aead
+from repro.crypto.aead import _SHARED_AEADS, FastAead, new_aead, shared_aead
 from repro.crypto.gcm import AesGcm
 from repro.errors import AuthenticationError, CryptoError
+from repro.tls.record import RecordProtection
 
 NONCE = bytes(12)
 
@@ -127,3 +130,14 @@ class TestSharedAead:
         sealer = shared_aead("fast", b"\x0c" * 16)
         opener = shared_aead("fast", b"\x0c" * 16)
         assert opener.open(NONCE, sealer.seal(NONCE, b"hello", b"x"), b"x") == b"hello"
+
+    def test_entry_lives_exactly_as_long_as_its_sessions(self):
+        key = b"\x0d" * 16
+        iv = bytes(12)
+        client = RecordProtection(shared_aead("aes-128-gcm", key), iv)
+        server = RecordProtection(shared_aead("aes-128-gcm", key), iv)
+        assert client._aead is server._aead
+        assert ("aes-128-gcm", key) in _SHARED_AEADS
+        del client, server
+        gc.collect()
+        assert ("aes-128-gcm", key) not in _SHARED_AEADS

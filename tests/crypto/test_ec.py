@@ -1,13 +1,20 @@
-"""secp256r1 group tests: known vectors and group laws."""
+"""secp256r1 group tests: known vectors, group laws, and the table-driven
+scalar multiplications cross-checked against a reference double-and-add."""
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.ec import ECPoint, INFINITY, N, P256
-from repro.errors import CryptoError
+import repro
+from repro.crypto.ec import INFINITY, P256, A, ECPoint, N, P
+from repro.crypto.ecdsa import ecdsa_verify
+from repro.errors import AuthenticationError, CryptoError
 
 # Known scalar multiples of the P-256 generator (public test vectors).
 K2_X = 0x7CF27B188D034F7E8A52380304B51AC3C08969E277F21B35A60B48FC47669978
@@ -98,3 +105,139 @@ class TestEncoding:
     def test_scalar_mult_rejects_off_curve(self):
         with pytest.raises(CryptoError):
             P256.scalar_mult(2, ECPoint(1, 1))
+
+
+# -- reference oracle ----------------------------------------------------------
+
+
+def _affine_add(a: ECPoint, b: ECPoint) -> ECPoint:
+    """Textbook affine addition, one modular inversion per call."""
+    if a.is_infinity:
+        return b
+    if b.is_infinity:
+        return a
+    if a.x == b.x:
+        if (a.y + b.y) % P == 0:
+            return INFINITY
+        lam = (3 * a.x * a.x + A) * pow(2 * a.y, -1, P) % P
+    else:
+        lam = (b.y - a.y) * pow(b.x - a.x, -1, P) % P
+    x = (lam * lam - a.x - b.x) % P
+    return ECPoint(x, (lam * (a.x - x) - a.y) % P)
+
+
+def _reference_mult(k: int, point: ECPoint = P256.generator) -> ECPoint:
+    """Right-to-left double-and-add over textbook affine formulas: slow, but
+    it shares no code with the table-driven paths it checks."""
+    k %= N
+    result = INFINITY
+    while k:
+        if k & 1:
+            result = _affine_add(result, point)
+        point = _affine_add(point, point)
+        k >>= 1
+    return result
+
+
+EDGE_SCALARS = [1, 2, 3, 15, 16, 17, N - 1, N, N + 1, 2 * N - 1, (1 << 256) - 1]
+#: Long runs of 1 bits make every wNAF digit carry into the next window.
+RUN_SCALARS = [
+    (1 << 255) - 1,
+    (1 << 128) - 1,
+    ((1 << 64) - 1) << 100,
+    int("1" * 40 + "0" * 3 + "1" * 90 + "01" * 20 + "1" * 40, 2),
+    int("f" * 16 + "0" * 16 + "f" * 16 + "0" * 16, 16),
+]
+SCALARS = st.one_of(
+    st.integers(min_value=0, max_value=(1 << 256) - 1),
+    st.sampled_from(EDGE_SCALARS + RUN_SCALARS),
+)
+Q = _reference_mult(0x1F2E3D4C5B6A798897A6B5C4D3E2F1)
+
+
+class TestFastPathsMatchReference:
+    @pytest.mark.parametrize("k", EDGE_SCALARS + RUN_SCALARS)
+    def test_base_point_edge_scalars(self, k):
+        assert P256.scalar_mult(k) == _reference_mult(k)
+
+    @pytest.mark.parametrize("k", EDGE_SCALARS + RUN_SCALARS)
+    def test_other_point_edge_scalars(self, k):
+        assert P256.scalar_mult(k, Q) == _reference_mult(k, Q)
+
+    @given(SCALARS)
+    @settings(max_examples=25, deadline=None)
+    def test_base_point(self, k):
+        assert P256.scalar_mult(k) == _reference_mult(k)
+
+    @given(SCALARS, st.integers(min_value=1, max_value=N - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_random_point(self, k, d):
+        point = _reference_mult(d)
+        assert P256.scalar_mult(k, point) == _reference_mult(k, point)
+
+    def test_infinity_input_gives_infinity(self):
+        assert P256.scalar_mult(5, INFINITY).is_infinity
+
+
+class TestMulAdd:
+    @given(SCALARS, SCALARS, st.integers(min_value=1, max_value=N - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_sum_of_products(self, u1, u2, d):
+        point = _reference_mult(d)
+        expected = _affine_add(_reference_mult(u1), _reference_mult(u2, point))
+        assert P256.mul_add(u1, u2, point) == expected
+
+    @pytest.mark.parametrize("u1, u2", [(0, 0), (0, 7), (7, 0), (N, N + 1), (1, N - 1)])
+    def test_zero_and_edge_scalars(self, u1, u2):
+        expected = _affine_add(_reference_mult(u1), _reference_mult(u2, Q))
+        assert P256.mul_add(u1, u2, Q) == expected
+
+    @pytest.mark.parametrize("u1, u2", [(1, 1), (5, 7), (1, N - 1), (3, N - 3)])
+    def test_point_is_the_generator(self, u1, u2):
+        # Both halves add the same table points: exercises the doubling and
+        # cancelling branches of the mixed addition.
+        assert P256.mul_add(u1, u2, P256.generator) == _reference_mult(u1 + u2)
+
+    def test_sum_at_infinity(self):
+        d = 0xC0FFEE
+        u2 = random.Random(4).randrange(1, N)
+        u1 = (-u2 * d) % N
+        assert P256.mul_add(u1, u2, _reference_mult(d)).is_infinity
+
+    def test_rejects_off_curve_point(self):
+        with pytest.raises(CryptoError):
+            P256.mul_add(1, 2, ECPoint(1, 1))
+
+    def test_rejects_infinity(self):
+        with pytest.raises(CryptoError):
+            P256.mul_add(1, 2, INFINITY)
+
+
+class TestVerifyRejectsInfinity:
+    def test_signature_whose_check_point_is_infinity(self):
+        # z + r*d == 0 (mod N) puts u1*G + u2*Q at infinity for any s.
+        message = b"lands on infinity"
+        z = int.from_bytes(hashlib.sha256(message).digest(), "big") % N
+        r, s = 0x1234567, 0x7654321
+        d = (-z * pow(r, -1, N)) % N
+        public = _reference_mult(d)
+        u1, u2 = (z * pow(s, -1, N)) % N, (r * pow(s, -1, N)) % N
+        assert P256.mul_add(u1, u2, public).is_infinity
+        with pytest.raises(AuthenticationError):
+            ecdsa_verify(public, message, r.to_bytes(32, "big") + s.to_bytes(32, "big"))
+
+    def test_rejects_invalid_public_key(self):
+        signature = (1).to_bytes(32, "big") * 2
+        for public in (INFINITY, ECPoint(1, 1)):
+            with pytest.raises(CryptoError):
+                ecdsa_verify(public, b"m", signature)
+
+
+def test_tables_are_not_built_at_import():
+    code = (
+        "import repro.crypto; from repro.crypto.ec import P256; "
+        "assert P256._comb is None and P256._g_signed is None"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

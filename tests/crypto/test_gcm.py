@@ -1,5 +1,7 @@
 """AES-GCM tests against NIST SP 800-38D / GCM spec test cases."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +117,16 @@ class TestGhashInternals:
                 byte = (x >> (120 - 8 * j)) & 0xFF
                 via_tables ^= tables[j][byte]
             assert via_tables == gf128_mul(x, h)
+
+    def test_every_table_entry_matches_reference_for_random_h(self):
+        rng = random.Random(13)
+        for _ in range(3):
+            h = rng.getrandbits(128)
+            tables = _build_tables(h)
+            assert [len(row) for row in tables] == [256] * 16
+            for j, row in enumerate(tables):
+                for byte, entry in enumerate(row):
+                    assert entry == gf128_mul(byte << (120 - 8 * j), h)
 
     def test_gf_mul_identity(self):
         one = 1 << 127  # the field's multiplicative identity in GCM order
