@@ -40,7 +40,7 @@ EXPECTED_EVENTS = {
     "incident": 582358,
     "frontend": 52843,
     "tenant": 269289,
-    "scale": 585544,
+    "scale": 585550,
 }
 
 

@@ -115,6 +115,7 @@ def run_experiment(
         "wall_s": round(wall_s, 4),
         "events": events,
         "events_per_sec": round(events / wall_s) if wall_s > 0 else 0,
+        **report.perf,
     }
     return ExperimentResult(
         name=name,

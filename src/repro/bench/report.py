@@ -63,6 +63,10 @@ class ExperimentReport:
     # populated by benchmarks that drive observed runs, serialised by
     # :meth:`to_json` so the JSON report carries per-layer breakdowns.
     obs: dict = field(default_factory=dict)
+    # Host-side measurements (wall clock, partition-dependent counters)
+    # that the fleet files under the JSON report's ``perf`` key, outside
+    # the body reruns and --domains settings must reproduce exactly.
+    perf: dict = field(default_factory=dict)
 
     def check(self, name: str, measured: float, lo: float, hi: float,
               slack: float = 0.0, unit: str = "") -> BandCheck:

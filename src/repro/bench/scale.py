@@ -21,7 +21,10 @@ delay as lookahead).  Two claims are checked, both count-based:
 Every value in the report's tables and checks is virtual-time or
 count derived; wall-clock throughput (hosts x events/sec per cell) is
 printed to stdout during the run and summarised only under the
-report's ``perf`` key, which CI's rerun-identity diff excludes.  Because
+report's ``perf`` key, which CI's rerun-identity diff excludes.  So is
+each run's runner telemetry (``perf.shard``: windows, per-domain busy
+and blocked wall, boundary messages and bytes), whose boundary counts
+depend on the partitioning.  Because
 dispatched-event totals are invariant to the partitioning, even
 ``perf.events`` matches across ``--domains`` settings -- CI pins it.
 """
@@ -91,6 +94,8 @@ def run(quick: bool = False, domains: Optional[int] = None) -> ExperimentReport:
     # -- parity: 1 domain vs N domains, every system --------------------------
     # Both runs always happen (1 vs 1 under --domains 1) so the bench
     # dispatches the same event total no matter the domain setting.
+    # Runner telemetry per sharded run, filed under the report's perf key.
+    shard_perf = report.perf.setdefault("shard", {})
     parity_rows = []
     agree = {"events": 0, "stats": 0, "books": 0, "spread": 0}
     digests_equal = 0
@@ -114,6 +119,8 @@ def run(quick: bool = False, domains: Optional[int] = None) -> ExperimentReport:
             _run_cell(plan, 1, args),
             _run_cell(plan, parity_domains, args),
         )
+        shard_perf[f"parity/{system}/reference"] = run1.telemetry()
+        shard_perf[f"parity/{system}/partitioned"] = run_n.telemetry()
         n_results[system] = merged_n
         agree["events"] += run1.events == run_n.events
         agree["stats"] += (
@@ -137,6 +144,7 @@ def run(quick: bool = False, domains: Optional[int] = None) -> ExperimentReport:
         print(
             f"[scale] parity {system}: hosts={run_n.hosts} "
             f"domains={run_n.plan.domains} events={run_n.events} "
+            f"windows={run_n.windows} boundary={run_n.boundary_messages} "
             f"wall={wall_n:.1f}s eps={eps}",
             flush=True,
         )
@@ -218,10 +226,12 @@ def run(quick: bool = False, domains: Optional[int] = None) -> ExperimentReport:
             "baselines": baselines,
         }
         run_c, merged, wall_s = _run_cell(plan, cell_domains, args)
+        shard_perf[f"sweep/racks={num_racks}"] = run_c.telemetry()
         eps = round(run_c.events / wall_s) if wall_s > 0 else 0
         print(
             f"[scale] sweep racks={num_racks} hosts={run_c.hosts} "
             f"domains={run_c.plan.domains} events={run_c.events} "
+            f"windows={run_c.windows} boundary={run_c.boundary_messages} "
             f"wall={wall_s:.1f}s eps={eps}",
             flush=True,
         )

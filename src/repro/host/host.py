@@ -17,6 +17,7 @@ from typing import Callable, Optional, Protocol
 from repro.errors import SimulationError
 from repro.host.costs import CostModel
 from repro.host.cpu import AppThread, SoftirqCore
+from repro.net.addressing import FlowTuple
 from repro.net.packet import Packet
 from repro.sim.event_loop import EventLoop
 from repro.sim.resources import Resource
@@ -60,6 +61,8 @@ class Host:
         ]
         self.nic = None  # attached via attach_nic
         self._transports: dict[int, Transport] = {}
+        #: RSS steering memo: flow 5-tuple -> softirq core.
+        self._rss_cores: dict[tuple, SoftirqCore] = {}
         self._next_port = 10000
         self.rx_dropped = 0
 
@@ -97,17 +100,25 @@ class Host:
 
     def softirq_core_for(self, packet: Packet) -> SoftirqCore:
         """RSS steering: hash the 5-tuple onto a softirq core."""
-        idx = packet.flow.rss_hash() % len(self.softirq_cores)
-        return self.softirq_cores[idx]
+        ip = packet.ip
+        t = packet.transport
+        return self._rss_core(
+            (ip.src_addr, t.src_port, ip.dst_addr, t.dst_port, ip.proto)
+        )
 
     def softirq_core_for_flow(
         self, peer_addr: int, peer_port: int, local_port: int, proto: int
     ) -> SoftirqCore:
         """The softirq core inbound packets of this flow would land on."""
-        from repro.net.addressing import FlowTuple
+        return self._rss_core((peer_addr, peer_port, self.addr, local_port, proto))
 
-        flow = FlowTuple(peer_addr, peer_port, self.addr, local_port, proto)
-        return self.softirq_cores[flow.rss_hash() % len(self.softirq_cores)]
+    def _rss_core(self, key: tuple) -> SoftirqCore:
+        """The core for a (src, sport, dst, dport, proto) key, hashed once."""
+        core = self._rss_cores.get(key)
+        if core is None:
+            idx = FlowTuple(*key).rss_hash() % len(self.softirq_cores)
+            core = self._rss_cores[key] = self.softirq_cores[idx]
+        return core
 
     # -- application helpers --------------------------------------------------------
 

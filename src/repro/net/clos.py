@@ -54,6 +54,17 @@ def ecmp_hash(packet: Packet, salt: int = 0) -> int:
     return h
 
 
+def _memo_ecmp_hash(memo: dict, packet: Packet, salt: int) -> int:
+    """:func:`ecmp_hash` through a fabric-owned memo keyed by 5-tuple + salt."""
+    ip = packet.ip
+    t = packet.transport
+    key = (ip.src_addr, t.src_port, ip.dst_addr, t.dst_port, ip.proto, salt)
+    h = memo.get(key)
+    if h is None:
+        h = memo[key] = ecmp_hash(packet, salt)
+    return h
+
+
 class ClosFabric:
     """``num_racks`` leaves x ``num_spines`` spines, ECMP across spines."""
 
@@ -85,6 +96,7 @@ class ClosFabric:
         self.trunk_delay = trunk_delay
         self.mtu = mtu
         self.ecmp_salt = ecmp_salt
+        self._ecmp_memo: dict[tuple, int] = {}
         trunk_buffer = (
             trunk_buffer_bytes if trunk_buffer_bytes is not None else buffer_bytes
         )
@@ -225,7 +237,8 @@ class ClosFabric:
     def spine_for(self, packet: Packet) -> int:
         """The spine index the current ECMP tables steer this flow to."""
         spines = self._routing_spines
-        return spines[ecmp_hash(packet, self.ecmp_salt) % len(spines)]
+        h = _memo_ecmp_hash(self._ecmp_memo, packet, self.ecmp_salt)
+        return spines[h % len(spines)]
 
     def _check_spine(self, spine: int) -> None:
         if not 0 <= spine < self.num_spines:
@@ -244,7 +257,8 @@ class ClosFabric:
             if home == rack:
                 return dst
             spines = self._routing_spines
-            spine = spines[ecmp_hash(packet, self.ecmp_salt) % len(spines)]
+            h = _memo_ecmp_hash(self._ecmp_memo, packet, self.ecmp_salt)
+            spine = spines[h % len(spines)]
             self.spine_packets[rack][spine] += 1
             return f"spine{spine}"
 
@@ -331,6 +345,7 @@ class ShardClosFabric:
         self.trunk_delay = trunk_delay
         self.mtu = mtu
         self.ecmp_salt = ecmp_salt
+        self._ecmp_memo: dict[tuple, int] = {}
         self._domain_of_rack = domain_of_rack
         self._rack_of = rack_of_addr
         self._emit = emit
@@ -413,9 +428,10 @@ class ShardClosFabric:
 
         return sender
 
-    def deliver(self, spine: int, packet: Packet, arrival: float) -> None:
-        """Inject a cross-domain packet into the local spine shard."""
-        self.loop.call_at(arrival, self.spine_shards[spine].inject, packet)
+    def deliver(self, spine: int, packet: Packet, arrival: float, seq: float) -> None:
+        """Inject a cross-domain packet into the local spine shard, ordered
+        among same-time events by the tie-break key ``seq``."""
+        self.loop.call_at_seq(arrival, seq, self.spine_shards[spine].inject, packet)
 
     # -- routing ------------------------------------------------------------------
 
@@ -424,7 +440,8 @@ class ShardClosFabric:
             dst = packet.ip.dst_addr
             if self.rack_of(dst) == rack:
                 return dst
-            spine = ecmp_hash(packet, self.ecmp_salt) % self.num_spines
+            h = _memo_ecmp_hash(self._ecmp_memo, packet, self.ecmp_salt)
+            spine = h % self.num_spines
             self.spine_packets[rack][spine] += 1
             return f"spine{spine}"
 

@@ -399,6 +399,11 @@ class EventLoop:
         """Current virtual time in seconds."""
         return self._now
 
+    @property
+    def seq(self) -> int:
+        """Tie-break key of the most recently scheduled entry."""
+        return self._seq
+
     # -- scheduling --------------------------------------------------------
 
     def _push(self, entry: list, tick: Optional[int] = None) -> None:
@@ -452,6 +457,23 @@ class EventLoop:
             self._size += 1
         else:
             self._push(entry, tick)
+
+    def call_at_seq(
+        self, when: float, seq: float, fn: Callable[..., None], arg: Any = _NO_ARG
+    ) -> None:
+        """Like :meth:`call_at`, with an explicit tie-break key ``seq``.
+
+        Among entries due at the same ``when``, this one runs after those
+        with a smaller key and before those with a larger one, as if it had
+        been scheduled at that point of the past.  The key must differ from
+        every other pending entry's -- pick a fraction between two keys the
+        loop handed out (see :attr:`seq`).  The loop's own counter does not
+        advance.  The sharded kernel uses this to file a cross-domain
+        arrival where a single loop would have filed it.
+        """
+        if when < self._now - 1e-15:
+            raise SimulationError(f"cannot schedule in the past ({when} < {self._now})")
+        self._push([when, seq, fn, arg])
 
     def call_later(self, delay: float, fn: Callable[..., None], arg: Any = _NO_ARG) -> None:
         """Run ``fn()`` after ``delay`` seconds of virtual time."""

@@ -97,13 +97,16 @@ def merge_batches(
 class OutboundQueue:
     """Per-window accumulator of boundary messages, one blob per dest.
 
-    Also tracks the earliest arrival per destination so the coordinator
-    can bound the next window without decoding any blob.
+    Also tracks the earliest arrival per destination so the runner can
+    bound the next window without decoding any blob, and counts every
+    message and blob byte drained.
     """
 
     def __init__(self) -> None:
         self._parts: dict[int, list[bytes]] = {}
         self._min_arrival: dict[int, float] = {}
+        self.sent_messages = 0
+        self.sent_bytes = 0
 
     def emit(
         self, dest: int, spine: int, packet: Packet, departure: float, arrival: float
@@ -117,10 +120,12 @@ class OutboundQueue:
 
     def drain(self) -> dict[int, tuple[bytes, float]]:
         """``{dest: (blob, min_arrival)}`` for this window, then reset."""
-        out = {
-            dest: (b"".join(parts), self._min_arrival[dest])
-            for dest, parts in self._parts.items()
-        }
+        out = {}
+        for dest, parts in self._parts.items():
+            blob = b"".join(parts)
+            self.sent_messages += len(parts)
+            self.sent_bytes += len(blob)
+            out[dest] = (blob, self._min_arrival[dest])
         self._parts.clear()
         self._min_arrival.clear()
         return out

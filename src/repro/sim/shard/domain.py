@@ -19,16 +19,23 @@ from its plan inside a worker process.  The factory is called as
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from importlib import import_module
 from typing import Any, Optional
 
+from repro.errors import SimulationError
 from repro.host.host import Host
 from repro.net.clos import ShardClosFabric
 from repro.nic.device import Nic
 from repro.sim.event_loop import EventLoop
 from repro.sim.shard.boundary import OutboundQueue, merge_batches
 from repro.sim.shard.plan import ShardPlan
+
+#: Spacing of the tie-break keys injected arrivals get between two keys
+#: the loop handed out.  While those stay below 2**32, ``base + j * step``
+#: is exact in a double for every ``j`` below 2**20.
+_INJECT_STEP = 2.0**-20
 
 
 def resolve_workload_factory(path: str):
@@ -51,6 +58,16 @@ class DomainResult:
     fabric_stats: dict
     workload: Any = None
     obs_snapshot: Optional[dict] = None
+    #: Barrier windows run (every domain of a run runs the same ones).
+    windows: int = 0
+    #: Boundary packets this domain sent, and their encoded blob bytes.
+    boundary_messages: int = 0
+    boundary_bytes: int = 0
+    #: Wall seconds spent injecting and running windows, and inside the
+    #: barrier exchange (mostly waiting for slower peers; always 0 on
+    #: the in-process carrier, which steps domains one after another).
+    busy_s: float = 0.0
+    blocked_s: float = 0.0
 
 
 class ShardDomain:
@@ -67,6 +84,16 @@ class ShardDomain:
         self.domain = domain
         self.loop = EventLoop()
         self.outbound = OutboundQueue()
+        #: The last window's outbound blobs: ``{dest: (blob, min_arrival)}``.
+        self.sent: dict[int, tuple[bytes, float]] = {}
+        self.windows = 0
+        self.busy_s = 0.0
+        #: Barrier-exchange wall time; the pipe carrier accounts it here.
+        self.blocked_s = 0.0
+        # Loop sequence number when the last window started, and how many
+        # arrivals have been keyed above it (see inject()).
+        self._window_seq = 0
+        self._injected = 0
         self.local_racks = plan.racks_of_domain(domain)
         self.fabric = ShardClosFabric(
             self.loop,
@@ -124,23 +151,50 @@ class ShardDomain:
 
     # -- stepping (driven by the runner) ------------------------------------------
 
-    def run_window(self, until: float) -> dict[int, tuple[bytes, float]]:
-        """Advance to the barrier at ``until``; return outbound blobs."""
+    def report(self) -> tuple[Optional[float], Optional[float], bool]:
+        """This domain's barrier report: next event time, earliest arrival
+        of the boundary messages sent in the last window, workload done."""
+        arrivals = [arrival for _, arrival in self.sent.values()]
+        return (
+            self.loop.next_event_time(),
+            min(arrivals) if arrivals else None,
+            self.workload is None or self.workload.done(),
+        )
+
+    def step(self, until: float, inbox: list[tuple[int, bytes]]) -> None:
+        """Inject a barrier's inbox, then run the window up to ``until``."""
+        start = time.perf_counter()
+        self.inject(inbox)
+        if self.loop.seq != self._window_seq:
+            self._window_seq = self.loop.seq
+            self._injected = 0
         self.loop.run(until=until)
-        return self.outbound.drain()
+        self.sent = self.outbound.drain()
+        self.busy_s += time.perf_counter() - start
+        self.windows += 1
 
     def inject(self, batches: list[tuple[int, bytes]]) -> None:
-        """Deliver a barrier's cross-domain inbox in deterministic order."""
+        """Deliver a barrier's cross-domain inbox in deterministic order.
+
+        The packets departed during the window just run.  A single loop
+        would have filed each arrival at its departure, so among events
+        due at the same time it would run after everything this domain
+        filed before that window and before everything filed after the
+        departure.  Each arrival is keyed just above the loop's sequence
+        number at the window's start, in merge order, which reproduces
+        that order (see :mod:`repro.sim.shard.runner`).
+        """
         if not batches:
             return
-        for arrival, spine, packet in merge_batches(batches):
-            self.fabric.deliver(spine, packet, arrival)
-
-    def next_event_time(self) -> Optional[float]:
-        return self.loop.next_event_time()
-
-    def workload_done(self) -> bool:
-        return self.workload is None or self.workload.done()
+        merged = merge_batches(batches)
+        if self._window_seq >= 2**32 or self._injected + len(merged) >= 2**20:
+            raise SimulationError("shard inbox tie-break keys exhausted")
+        base = self._window_seq
+        for arrival, spine, packet in merged:
+            self._injected += 1
+            self.fabric.deliver(
+                spine, packet, arrival, base + self._injected * _INJECT_STEP
+            )
 
     # -- results ------------------------------------------------------------------
 
@@ -157,4 +211,9 @@ class ShardDomain:
             fabric_stats=self.fabric.stats(),
             workload=None if self.workload is None else self.workload.result(),
             obs_snapshot=None if self.obs is None else self.obs.snapshot(),
+            windows=self.windows,
+            boundary_messages=self.outbound.sent_messages,
+            boundary_bytes=self.outbound.sent_bytes,
+            busy_s=self.busy_s,
+            blocked_s=self.blocked_s,
         )

@@ -1,5 +1,7 @@
 """Host-level tests: steering, registration, accounting."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -30,6 +32,18 @@ class TestSteering:
         host = make_host()
         cores = {id(host.softirq_core_for(make_packet(p))) for p in range(200)}
         assert len(cores) == 4  # all cores get some flow
+
+    def test_memoised_steering_matches_direct_hash(self):
+        rng = random.Random(5)
+        host = make_host()
+        for _ in range(500):
+            ip = IPv4Header(rng.getrandbits(32), rng.getrandbits(32),
+                            rng.choice((PROTO_SMT, PROTO_HOMA, 6)), 100)
+            packet = Packet(ip, TransportHeader(rng.getrandbits(16),
+                                                rng.getrandbits(16), 1))
+            expected = host.softirq_cores[packet.flow.rss_hash() % 4]
+            assert host.softirq_core_for(packet) is expected
+            assert host.softirq_core_for(packet) is expected  # memo hit
 
     def test_flow_key_helper_matches_packet_steering(self):
         host = make_host()

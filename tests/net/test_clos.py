@@ -1,5 +1,7 @@
 """Leaf-spine fabric: ECMP routing, trunks, and ClosTestbed parity."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -41,6 +43,19 @@ class TestEcmpHash:
     def test_flows_spread_over_spines(self):
         choices = {ecmp_hash(_packet(1, 2, sport=s)) % 2 for s in range(1000, 1032)}
         assert choices == {0, 1}
+
+    def test_fabric_memo_matches_direct_hash(self):
+        rng = random.Random(9)
+        fabric = ClosFabric(EventLoop(), num_racks=2, num_spines=3)
+        for salt in (0, 0, 17):
+            fabric.reconverge(salt=salt)
+            for _ in range(300):
+                p = _packet(rng.getrandbits(32), rng.getrandbits(32),
+                            sport=rng.getrandbits(16), dport=rng.getrandbits(16),
+                            proto=rng.choice((6, 146, 147)))
+                expected = ecmp_hash(p, salt) % 3
+                assert fabric.spine_for(p) == expected
+                assert fabric.spine_for(p) == expected  # memo hit
 
 
 class TestClosFabric:

@@ -35,6 +35,23 @@ class TestScheduling:
         loop.run()
         assert order == ["a", "b", "c"]
 
+    def test_explicit_key_orders_among_same_time_entries(self):
+        loop = EventLoop()
+        order = []
+        loop.call_at(1.0, order.append, "a")
+        base = loop.seq
+        loop.call_at(1.0, order.append, "c")
+        loop.call_at(1.0, order.append, "d")
+        # Filed later, on both wheel paths, but keyed between "a" and "c".
+        loop.call_at_seq(1.0, base + 0.5, order.append, "b2")
+        loop.call_at_seq(1.0, base + 0.25, order.append, "b1")
+        loop.call_at_seq(1e4, 0.5, order.append, "far")
+        assert loop.seq == base + 2  # explicit keys take no sequence number
+        loop.run()
+        assert order == ["a", "b1", "b2", "c", "d", "far"]
+        with pytest.raises(SimulationError):
+            loop.call_at_seq(1.0, 0.5, order.append, "past")
+
     def test_cannot_schedule_in_past(self):
         loop = EventLoop()
         loop.call_later(1.0, lambda: None)

@@ -8,6 +8,10 @@ seeded workloads; on a mismatch they print a ``REPRODUCING SEED`` line
 naming the exact seed so the failure replays from one number.
 """
 
+import math
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from repro.errors import SimulationError
@@ -27,8 +31,132 @@ from repro.sim.shard.boundary import (
     encode_message,
     merge_batches,
 )
+from repro.sim.shard.runner import next_window
 
 WORKLOAD = "repro.load.shard:build_domain_workload"
+#: Test workloads below, resolved by name like any shard workload factory.
+HERE = "tests.sim.test_shard"
+#: Linux's largest default pipe buffer; a larger blob cannot be written
+#: unless the peer reads concurrently.
+PIPE_BUFFER = 256 * 1024
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail (instead of hanging the suite) if the block outlives ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _probe_packet(src, dst, size=0, msg_id=0):
+    # Protocol 17 has no transport on a shard host: a delivered probe is
+    # counted in the receiving host's rx_dropped and goes no further.
+    return Packet(
+        IPv4Header(src, dst, 17, 0), TransportHeader(7, 9, msg_id), bytes(size)
+    )
+
+
+class _Burst:
+    """Domains 0 and 1 each send the other ``count`` boundary packets of
+    ``size`` payload bytes in one window; done once handed the peer's."""
+
+    def __init__(self, domain, args):
+        self.expected = args["count"]
+        self.received = 0
+        plan = domain.plan
+        peer = 1 - domain.domain
+        src = plan.addr_of(domain.local_racks[0], 0)
+        dst = plan.addr_of(plan.racks_of_domain(peer)[0], 0)
+        deliver = domain.fabric.deliver
+
+        def counted(spine, packet, arrival, seq):
+            self.received += 1
+            deliver(spine, packet, arrival, seq)
+
+        def burst():
+            for i in range(self.expected):
+                packet = _probe_packet(src, dst, args["size"], i)
+                # Arrivals spread out so the spine buffers never overflow.
+                arrival = domain.loop.now + plan.lookahead + i * 1e-6
+                domain.outbound.emit(peer, 0, packet, domain.loop.now, arrival)
+
+        domain.fabric.deliver = counted
+        domain.loop.call_later(1e-9, burst)
+
+    def done(self):
+        return self.received == self.expected
+
+    def result(self):
+        return self.received
+
+
+def burst_workload(domain, args):
+    return _Burst(domain, args)
+
+
+class _NeverDone:
+    def done(self):
+        return False
+
+    def result(self):
+        return None
+
+
+def failing_workload(domain, args):
+    if domain.domain == args["fail"]:
+        raise RuntimeError("workload factory failed on purpose")
+    return _NeverDone()
+
+
+class _EdgeProbe:
+    """Domain 0 sends one boundary packet at exactly ``args["at"]``, when
+    nothing else is pending anywhere; domain 1 records the virtual time
+    at which the packet was injected and whether its host received it."""
+
+    def __init__(self, domain, args):
+        self.domain = domain
+        self.record = None
+        plan = domain.plan
+        if domain.domain == 0:
+            src = plan.addr_of(0, 0)
+            dst = plan.addr_of(plan.racks_of_domain(1)[0], 0)
+
+            def emit():
+                now = domain.loop.now
+                arrival = now + plan.lookahead  # as a trunk port computes it
+                domain.outbound.emit(1, 0, _probe_packet(src, dst), now, arrival)
+                self.record = (now, arrival)
+
+            domain.loop.call_at(args["at"], emit)
+        else:
+            deliver = domain.fabric.deliver
+
+            def counted(spine, packet, arrival, seq):
+                self.record = (domain.loop.now, arrival)
+                deliver(spine, packet, arrival, seq)
+
+            domain.fabric.deliver = counted
+
+    def done(self):
+        if self.domain.domain == 0:
+            return self.record is not None
+        return sum(host.rx_dropped for host in self.domain.hosts) == 1
+
+    def result(self):
+        return self.record
+
+
+def edge_workload(domain, args):
+    return _EdgeProbe(domain, args)
 
 
 def _loaded_signature(plan, domains, system, seed, baselines, duration=4e-5,
@@ -81,11 +209,14 @@ def _loaded_signature(plan, domains, system, seed, baselines, duration=4e-5,
 class TestDifferentialDomains:
     """1 vs 2 vs 4 domains must be bit-identical, several seeds deep."""
 
-    @pytest.mark.parametrize("system", ["smt", "tcp"])
+    # homa seed 7 has arrivals that tie with a spine port's end of
+    # serialisation: filed at the barrier instead of where the single
+    # loop files them, they run in the wrong order (see runner docstring).
+    @pytest.mark.parametrize("system", ["smt", "tcp", "homa"])
     def test_domain_count_is_unobservable(self, system):
         plan = ShardPlan(num_racks=4, hosts_per_rack=2, num_spines=2)
         baselines = measure_baselines(plan, system, HOMA_W4)
-        for seed in (3, 11):
+        for seed in (3, 7, 11):
             reference = _loaded_signature(plan, 1, system, seed, baselines)
             for domains in (2, 4):
                 candidate = _loaded_signature(
@@ -120,6 +251,20 @@ class TestDifferentialDomains:
         if inproc != piped:
             print("REPRODUCING SEED: seed=5 system=smt domains=2 (mp carrier)")
         assert inproc == piped
+
+    def test_four_domain_pipe_carrier_matches_in_process_and_one_domain(self):
+        plan = ShardPlan(num_racks=4, hosts_per_rack=2, num_spines=2)
+        baselines = measure_baselines(plan, "homa", HOMA_W4)
+        reference = _loaded_signature(plan, 1, "homa", 7, baselines)
+        inproc = _loaded_signature(plan, 4, "homa", 7, baselines)
+        with _deadline(300):
+            piped = _loaded_signature(
+                plan, 4, "homa", 7, baselines, use_processes=True
+            )
+        for name, candidate in (("in-process", inproc), ("pipes", piped)):
+            if candidate != reference:
+                print(f"REPRODUCING SEED: seed=7 system=homa domains=4 ({name})")
+            assert candidate == reference, name
 
     def test_traffic_actually_crosses_domains(self):
         """The parity above must not be vacuous: cross-rack RPCs exist."""
@@ -270,3 +415,113 @@ class TestRunnerProtocol:
         plan = ShardPlan(num_racks=4, hosts_per_rack=1, domains=4)
         result = ShardRunner(plan).run()
         assert sorted(r for d in result.domains for r in d.racks) == [0, 1, 2, 3]
+
+
+class TestWindowBound:
+    L = 0.5e-6
+
+    def test_full_lookahead_exclusive_bound(self):
+        for earliest in (0.0, 1e-9, 3.3e-6, 1.0 / 3.0, 12.5):
+            reports = [(earliest, None, False), (earliest + 1e-6, None, False)]
+            until = next_window(reports, self.L, None, True)
+            assert until == math.nextafter(earliest + self.L, -math.inf)
+            # A message created at exactly E arrives after the window.
+            assert earliest + self.L > until
+
+    def test_undelivered_arrivals_bound_the_window(self):
+        reports = [(5e-6, 2e-6, False), (None, None, False)]
+        until = next_window(reports, self.L, None, True)
+        assert until == math.nextafter(2e-6 + self.L, -math.inf)
+
+    def test_stop_conditions(self):
+        done = [(1e-6, None, True), (2e-6, 3e-6, True)]
+        assert next_window(done, self.L, None, True) is None
+        # Without a workload the done flags mean nothing.
+        assert next_window(done, self.L, None, False) is not None
+        assert next_window([(None, None, False)] * 2, self.L, None, True) is None
+        late = [(2e-6, None, False), (None, None, False)]
+        assert next_window(late, self.L, 1e-6, True) is None
+
+    def test_deadline_caps_the_window(self):
+        reports = [(1e-6, None, False)]
+        assert next_window(reports, self.L, 1.2e-6, True) == 1.2e-6
+
+    @pytest.mark.parametrize("use_processes", [False, True])
+    def test_message_emitted_at_window_start_is_delivered_next_window(
+        self, use_processes
+    ):
+        plan = ShardPlan(num_racks=2, hosts_per_rack=1, domains=2)
+        at = 1e-3  # after every construction-time event
+        with _deadline(60):
+            run = ShardRunner(
+                plan, workload_factory=f"{HERE}:edge_workload",
+                workload_args={"at": at}, use_processes=use_processes,
+            ).run()
+        (emitted_at, arrival), (injected_at, received_arrival) = run.workloads()
+        assert emitted_at == at
+        assert received_arrival == arrival == at + plan.lookahead
+        # The window that ran the emission ended at the largest float
+        # below the arrival; the packet was injected at that barrier and
+        # reached the destination host (the done flag demands it).
+        assert injected_at == math.nextafter(arrival, -math.inf)
+        assert run.boundary_messages == 1
+
+
+class TestPipeMesh:
+    def test_blob_larger_than_pipe_buffer_crosses_both_ways(self):
+        plan = ShardPlan(num_racks=2, hosts_per_rack=1, domains=2)
+        args = {"count": 300, "size": 1000}
+        with _deadline(120):
+            piped = ShardRunner(
+                plan, workload_factory=f"{HERE}:burst_workload",
+                workload_args=args, use_processes=True,
+            ).run()
+        assert piped.workloads() == [300, 300]
+        assert all(d.boundary_bytes > PIPE_BUFFER for d in piped.domains)
+        inproc = ShardRunner(
+            plan, workload_factory=f"{HERE}:burst_workload", workload_args=args,
+        ).run()
+        assert (piped.windows, piped.final_barrier, piped.events) == (
+            inproc.windows, inproc.final_barrier, inproc.events
+        )
+
+    @pytest.mark.parametrize("fail", [0, 1])
+    def test_failing_worker_raises_instead_of_hanging(self, fail):
+        plan = ShardPlan(num_racks=2, hosts_per_rack=1, domains=2)
+        with _deadline(60), pytest.raises(SimulationError, match="on purpose"):
+            ShardRunner(
+                plan, workload_factory=f"{HERE}:failing_workload",
+                workload_args={"fail": fail}, use_processes=True,
+            ).run()
+
+
+class TestRunnerTelemetry:
+    def test_counts_and_wall_split(self):
+        plan = ShardPlan(num_racks=2, hosts_per_rack=2, num_spines=2)
+        baselines = measure_baselines(plan, "smt", HOMA_W4)
+        args = {
+            "system": "smt", "distribution": HOMA_W4, "load": 0.5,
+            "duration": 4e-5, "seed": 7, "baselines": baselines,
+        }
+        runs = {
+            (domains, procs): ShardRunner(
+                plan.with_domains(domains), workload_factory=WORKLOAD,
+                workload_args=args, use_processes=procs,
+            ).run()
+            for domains, procs in ((1, False), (2, False), (2, True))
+        }
+        one, two, piped = runs[1, False], runs[2, False], runs[2, True]
+        assert one.boundary_messages == one.boundary_bytes == 0
+        assert two.boundary_messages > 0 and two.boundary_bytes > 0
+        assert (piped.boundary_messages, piped.boundary_bytes) == (
+            two.boundary_messages, two.boundary_bytes
+        )
+        assert one.windows == two.windows == piped.windows
+        for run in runs.values():
+            telemetry = run.telemetry()
+            assert telemetry["windows"] == run.windows
+            assert len(telemetry["busy_s"]) == len(telemetry["blocked_s"])
+            assert len(telemetry["busy_s"]) == run.plan.domains
+            assert all(busy > 0 for busy in telemetry["busy_s"])
+        assert two.telemetry()["blocked_s"] == [0.0, 0.0]
+        assert all(blocked > 0 for blocked in piped.telemetry()["blocked_s"])
